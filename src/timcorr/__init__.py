@@ -55,7 +55,6 @@ from .numerics import (
     central_difference,
     determinant,
     find_root,
-    integrate,
 )
 from .tim_ground_state import (
     GroundStateCorrelators,
@@ -64,6 +63,7 @@ from .tim_ground_state import (
     dispersion,
     g_coefficient,
     magnetization,
+    pair_state,
     reduced_density,
 )
 
@@ -105,10 +105,10 @@ __all__ = [
     "find_p_sc",
     "find_root",
     "g_coefficient",
-    "integrate",
     "kraus_set",
     "magnetization",
     "mutual_information",
+    "pair_state",
     "parametrized_time",
     "parse_channel",
     "project_xstate",

@@ -27,7 +27,7 @@ from .channels import ChannelKind, parse_channel
 from .correlations import discord, discord_oracle, random_xstates, spectrum
 from .criticality import Quantity, critical_signature, derivative_scan, sweep_p
 from .numerics import QuadratureSpec
-from .tim_ground_state import ModelParams, correlators, reduced_density
+from .tim_ground_state import ModelParams, correlators, pair_state, reduced_density
 
 __all__ = ["RunConfig", "main", "cmd_ground_state", "cmd_sweep_p", "cmd_critical",
            "cmd_discord_check"]
@@ -58,12 +58,18 @@ class RunConfig:
     check_tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.quad_tol <= 0.0 or self.root_tol <= 0.0 or self.derivative_step <= 0.0:
+        steps = (self.quad_tol, self.root_tol, self.derivative_step)
+        if not all(step > 0.0 for step in steps):
             raise ValueError("tolerances and the derivative step must be positive")
         if self.p_count < 1:
             raise ValueError(f"p_count must be at least 1, got {self.p_count}")
+        for name in ("p_start", "p_stop"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
         if not self.lambda_grid:
             raise ValueError("lambda grid must be non-empty")
+        for lam in (self.lambda_, *self.lambda_grid):
+            ModelParams(lam, self.pair_distance)
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.output_format!r}")
 
@@ -115,7 +121,7 @@ def cmd_ground_state(config: RunConfig) -> str:
     """Serialize the ground-state X state, correlators and spectrum."""
     params = ModelParams(config.lambda_, config.pair_distance)
     corr = correlators(params, config.quad_spec)
-    state = reduced_density(params, config.quad_spec)
+    state = pair_state(params, corr)
     lams = spectrum(state).as_list()
     fields = {
         "lambda": config.lambda_,

@@ -294,13 +294,14 @@ def derivative_scan(
 
     Estimates whose flanking signatures lack the quantity are omitted.  A
     shared `cache` avoids recomputing signatures when several quantities
-    are scanned over the same grid.
+    are scanned over the same grid; its keys hold every argument a
+    signature depends on.
     """
     if cache is None:
         cache = {}
 
     def quantity_at(lam: float) -> float:
-        key = (lam, kind, pair_distance)
+        key = (lam, kind, pair_distance, tol, quad_spec)
         if key not in cache:
             cache[key] = critical_signature(
                 lam, kind, tol, quad_spec=quad_spec, pair_distance=pair_distance

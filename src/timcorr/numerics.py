@@ -1,8 +1,9 @@
 """Scalar numerical kernels shared by the model and sweep modules.
 
-Adaptive composite-Simpson quadrature on a finite interval, small dense
-determinants by pivoted elimination, bracketed bisection, and central
-finite differences.  Everything here is a pure function of its inputs.
+Small dense determinants by pivoted elimination, bracketed bisection,
+central finite differences, and the tolerance and doubling budget
+(`QuadratureSpec`) of the ground state's trapezoid sums.  Everything here
+is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -17,23 +18,23 @@ __all__ = [
     "RootBracket",
     "QuadratureError",
     "BracketError",
-    "integrate",
     "determinant",
     "find_root",
     "central_difference",
 ]
 
-# Simpson levels below 16 subintervals can agree by accident on oscillatory
-# integrands, so convergence is not tested before this many doublings.
-_MIN_DOUBLINGS = 4
-
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Absolute tolerance and refinement budget for `integrate`."""
+    """Convergence tolerance and doubling budget of a trapezoid sum.
+
+    The grid doubles until two successive grids agree within `abs_tol`.
+    `max_refinements` bounds the grid at 64 * 2**max_refinements points
+    (2**22 by default).
+    """
 
     abs_tol: float = 1e-10
-    max_refinements: int = 24
+    max_refinements: int = 16
 
     def __post_init__(self) -> None:
         if not self.abs_tol > 0.0:
@@ -60,80 +61,24 @@ class RootBracket:
 
 
 class QuadratureError(RuntimeError):
-    """Interval doubling exhausted its budget before meeting the tolerance.
+    """Grid doubling exhausted its budget before meeting the tolerance.
 
-    Carries the last Simpson value (`estimate`) and the last level-to-level
-    difference (`error_bound`).
+    Carries the largest grid the budget allows (`points`) and how far the
+    last two grids' sums differed (`error_bound`).
     """
 
-    def __init__(self, estimate: float, error_bound: float, spec: QuadratureSpec):
-        self.estimate = estimate
+    def __init__(self, points: int, error_bound: float, spec: QuadratureSpec):
+        self.points = points
         self.error_bound = error_bound
         super().__init__(
-            f"quadrature did not converge after {spec.max_refinements} refinements: "
-            f"estimate={estimate:.15g}, error_bound={error_bound:.3g}, "
+            f"trapezoid sums did not converge on grids of up to {points} points: "
+            f"successive grids differ by {error_bound:.3g}, "
             f"abs_tol={spec.abs_tol:.3g}"
         )
 
 
 class BracketError(ValueError):
     """The supplied bracket does not contain a sign change."""
-
-
-def _evaluate(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:
-    """Evaluate f on an array of abscissae, falling back to a scalar loop."""
-    try:
-        y = np.asarray(f(x), dtype=float)
-    except (TypeError, ValueError):
-        y = None
-    if y is None or y.shape != x.shape:
-        y = np.fromiter((float(f(float(xi))) for xi in x), dtype=float, count=x.size)
-    return y
-
-
-def integrate(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> float:
-    """Integrate f over [a, b] by composite Simpson with interval doubling.
-
-    The trapezoid sum is refined by doubling the number of subintervals;
-    each Simpson value is the Richardson combination (4*T_2n - T_n)/3 of two
-    successive trapezoid sums.  Convergence requires the difference between
-    successive Simpson levels to drop below ``spec.abs_tol``.
-
-    Raises
-    ------
-    QuadratureError
-        If the budget of ``spec.max_refinements`` doublings is exhausted.
-    """
-    if not a < b:
-        raise ValueError(f"integration interval needs a < b, got [{a}, {b}]")
-    ends = _evaluate(f, np.array([a, b], dtype=float))
-    if not np.all(np.isfinite(ends)):
-        raise ValueError("integrand is not finite at the interval endpoints")
-    span = b - a
-    trapezoid = 0.5 * span * float(ends[0] + ends[1])
-    simpson_prev: float | None = None
-    simpson = trapezoid
-    error = float("inf")
-    intervals = 1
-    for level in range(1, spec.max_refinements + 1):
-        midpoints = a + span * (np.arange(intervals) + 0.5) / intervals
-        trapezoid_next = 0.5 * trapezoid + 0.5 * (span / intervals) * float(
-            _evaluate(f, midpoints).sum()
-        )
-        simpson = float((4.0 * trapezoid_next - trapezoid) / 3.0)
-        if simpson_prev is not None:
-            error = abs(simpson - simpson_prev)
-            if level > _MIN_DOUBLINGS and error < spec.abs_tol:
-                return simpson
-        simpson_prev = simpson
-        trapezoid = trapezoid_next
-        intervals *= 2
-    raise QuadratureError(simpson, error, spec)
 
 
 def determinant(m) -> float:

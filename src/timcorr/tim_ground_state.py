@@ -4,16 +4,22 @@ Works in the thermodynamic limit of
 
     H = -lambda * sum_j sx_j sx_{j+1} - sum_j sz_j
 
-where the chain is critical at lambda = 1.  The magnetization is an
-integral over the Brillouin zone, the sx-sx and sy-sy pair correlators are
-determinants of Toeplitz matrices built from the integral coefficients
-G_r, and the two-site reduced density matrix assembled from them is a real
-symmetric X state.
+where the chain is critical at lambda = 1 (Pfeuty, Ann. Phys. 57, 79
+(1970)).  Everything derives from the coefficients G_r, the Fourier
+coefficients of the unit-modulus symbol
 
-Sign convention: the magnetization integral is used exactly as written,
-which gives <sz> = -1 at lambda = 0.  All correlation measures are
-invariant under the global spin flip relating this to the opposite
-convention.
+    (1 + lambda e^{-i phi}) / |1 + lambda e^{-i phi}|.
+
+All G_{-R..R} that one pair needs come from a single FFT of that symbol
+(the periodic trapezoid rule, geometrically convergent away from
+lambda = 1), and from Pfeuty's closed form at lambda = 1.  The
+magnetization is -G_0, the sx-sx and sy-sy pair correlators are
+determinants of Toeplitz matrices of the G_r, and the two-site reduced
+density matrix assembled from them is a real symmetric X state.
+
+Sign convention: G_0 is used exactly as written, which gives <sz> = -1 at
+lambda = 0.  All correlation measures are invariant under the global spin
+flip relating this to the opposite convention.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlations import InvalidXStateError, XState, spectrum
-from .numerics import QuadratureSpec, determinant, integrate
+from .numerics import QuadratureError, QuadratureSpec, determinant
 
 __all__ = [
     "ModelParams",
@@ -33,10 +39,19 @@ __all__ = [
     "magnetization",
     "g_coefficient",
     "correlators",
+    "pair_state",
     "reduced_density",
 ]
 
 _POSITIVITY_TOL = 1e-9
+# Smallest FFT grid; QuadratureSpec.max_refinements doublings of it bound
+# the largest.
+_MIN_POINTS = 64
+
+
+def _check_lambda(lambda_: float) -> None:
+    if not (math.isfinite(lambda_) and lambda_ >= 0.0):
+        raise ValueError(f"lambda must be finite and non-negative, got {lambda_}")
 
 
 @dataclass(frozen=True)
@@ -47,8 +62,7 @@ class ModelParams:
     pair_distance: int = 1
 
     def __post_init__(self) -> None:
-        if self.lambda_ < 0.0:
-            raise ValueError(f"lambda must be non-negative, got {self.lambda_}")
+        _check_lambda(self.lambda_)
         if self.pair_distance < 1:
             raise ValueError(
                 f"pair_distance must be at least 1, got {self.pair_distance}"
@@ -73,19 +87,44 @@ def dispersion(lambda_: float, phi: float) -> float:
     return math.hypot(lambda_ * math.sin(phi), 1.0 + lambda_ * math.cos(phi))
 
 
-def _transverse_weight(lambda_: float, phi: np.ndarray) -> np.ndarray:
-    """(1 + lambda cos phi) / omega_phi, with the 0/0 at the closing gap -> 0."""
-    num = 1.0 + lambda_ * np.cos(phi)
-    omega = np.sqrt((lambda_ * np.sin(phi)) ** 2 + num * num)
-    return np.where(omega > 0.0, num / np.where(omega > 0.0, omega, 1.0), 0.0)
+def _g_coefficients(lambda_: float, r_max: int, spec: QuadratureSpec) -> np.ndarray:
+    """G_{-r_max..r_max} as an array g with g[k] = G_k under Python indexing.
+
+    The N-point FFT of the symbol gives every G_k at once.  N starts at the
+    first power of two >= max(64, 4 (r_max + 1)) and doubles until two
+    successive grids agree within ``spec.abs_tol`` on every |k| <= r_max.
+    At lambda = 1 the symbol jumps and the sums converge only as N^-2, so
+    Pfeuty's G_k = (-1)^k 2 / (pi (2k + 1)) is returned instead.
+
+    Raises
+    ------
+    QuadratureError
+        If N would exceed 64 * 2**spec.max_refinements first.
+    """
+    _check_lambda(lambda_)
+    k = np.r_[0 : r_max + 1, -r_max:0]
+    if lambda_ == 1.0:
+        return np.where(k % 2, -2.0, 2.0) / (math.pi * (2 * k + 1))
+    n = max(_MIN_POINTS, 1 << (4 * r_max + 3).bit_length())
+    n_max = _MIN_POINTS << spec.max_refinements
+    previous, change = None, math.inf
+    while n <= n_max:
+        # The symbol is Hermitian, s(-phi) = conj(s(phi)), so its values on
+        # [0, pi] fix the whole (real) spectrum.
+        phi = 2.0 * math.pi * np.arange(n // 2 + 1) / n
+        symbol = 1.0 + lambda_ * np.exp(-1j * phi)
+        g = np.fft.hfft(symbol / np.abs(symbol), n)[k] / n
+        if previous is not None:
+            change = float(np.max(np.abs(g - previous)))
+            if change <= spec.abs_tol:
+                return g
+        previous, n = g, 2 * n
+    raise QuadratureError(n_max, change, spec)
 
 
 def magnetization(lambda_: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Transverse magnetization <sz>: -1 at lambda = 0, -2/pi at lambda = 1."""
-    if lambda_ < 0.0:
-        raise ValueError(f"lambda must be non-negative, got {lambda_}")
-    value = integrate(lambda phi: _transverse_weight(lambda_, phi), 0.0, math.pi, spec)
-    return -value / math.pi
+    """Transverse magnetization <sz> = -G_0: -1 at lambda = 0, -2/pi at lambda = 1."""
+    return -float(_g_coefficients(lambda_, 0, spec)[0])
 
 
 def g_coefficient(
@@ -93,28 +132,12 @@ def g_coefficient(
 ) -> float:
     """Toeplitz coefficient G_r of the pair correlators.
 
-    G_r = (1/pi) * int_0^pi cos(r phi) (1 + lambda cos phi)/omega_phi dphi
-        - (lambda/pi) * int_0^pi sin(r phi) sin(phi)/omega_phi dphi
+    G_r = (1/pi) * int_0^pi (cos(r phi) + lambda cos((r + 1) phi)) / omega_phi dphi
 
-    Negative r is required by the correlator matrices.  G_0 equals minus
-    the magnetization.
+    with omega_phi = `dispersion`.  Negative r is required by the
+    correlator matrices.  G_0 equals minus the magnetization.
     """
-    if lambda_ < 0.0:
-        raise ValueError(f"lambda must be non-negative, got {lambda_}")
-
-    def first(phi: np.ndarray) -> np.ndarray:
-        return np.cos(r * phi) * _transverse_weight(lambda_, phi)
-
-    def second(phi: np.ndarray) -> np.ndarray:
-        num = 1.0 + lambda_ * np.cos(phi)
-        omega = np.sqrt((lambda_ * np.sin(phi)) ** 2 + num * num)
-        ratio = np.where(omega > 0.0, np.sin(phi) / np.where(omega > 0.0, omega, 1.0), 0.0)
-        return np.sin(r * phi) * ratio
-
-    value = integrate(first, 0.0, math.pi, spec) / math.pi
-    if lambda_ > 0.0:
-        value -= lambda_ * integrate(second, 0.0, math.pi, spec) / math.pi
-    return value
+    return float(_g_coefficients(lambda_, abs(r), spec)[r])
 
 
 def correlators(
@@ -126,26 +149,24 @@ def correlators(
     entries G_{i-j+1}, and czz = <sz>^2 - G_r G_{-r}.  At r = 1 these
     reduce to the bare coefficients G_{-1} and G_1.
     """
-    lam, r = params.lambda_, params.pair_distance
-    sz = magnetization(lam, spec)
-    g = {k: g_coefficient(lam, k, spec) for k in range(-r, r + 1)}
-    cxx = determinant([[g[i - j - 1] for j in range(r)] for i in range(r)])
-    cyy = determinant([[g[i - j + 1] for j in range(r)] for i in range(r)])
-    czz = sz * sz - g[r] * g[-r]
+    r = params.pair_distance
+    g = _g_coefficients(params.lambda_, r, spec)
+    sz = -float(g[0])
+    offsets = np.subtract.outer(np.arange(r), np.arange(r))
+    cxx = determinant(g[offsets - 1])
+    cyy = determinant(g[offsets + 1])
+    czz = sz * sz - float(g[r]) * float(g[-r])
     return GroundStateCorrelators(sz=sz, cxx=cxx, cyy=cyy, czz=czz)
 
 
-def reduced_density(
-    params: ModelParams, spec: QuadratureSpec = QuadratureSpec()
-) -> XState:
+def pair_state(params: ModelParams, c: GroundStateCorrelators) -> XState:
     """Two-site reduced density matrix of the ground state as an X state.
 
     a = 1/4 + <sz>/2 + czz/4,  d = 1/4 - <sz>/2 + czz/4,  b = (1 - czz)/4,
-    z = (cxx + cyy)/4,  f = (cxx - cyy)/4.  The trace is 1 by construction;
-    an eigenvalue below -1e-9 signals a quadrature or determinant bug and
-    raises.
+    z = (cxx + cyy)/4,  f = (cxx - cyy)/4, with `c` the correlators of the
+    pair `params`.  The trace is 1 by construction; an eigenvalue below
+    -1e-9 signals a quadrature or determinant bug and raises.
     """
-    c = correlators(params, spec)
     state = XState(
         a=float(0.25 + 0.5 * c.sz + 0.25 * c.czz),
         b=float(0.25 * (1.0 - c.czz)),
@@ -160,3 +181,10 @@ def reduced_density(
             f"has eigenvalue {smallest} below -{_POSITIVITY_TOL}"
         )
     return state
+
+
+def reduced_density(
+    params: ModelParams, spec: QuadratureSpec = QuadratureSpec()
+) -> XState:
+    """`pair_state` of the correlators at `params`."""
+    return pair_state(params, correlators(params, spec))

@@ -229,6 +229,30 @@ class TestOutputContracts:
         assert code == 2
         assert "p_count" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ground-state", "--lambda", "nan"],
+            ["ground-state", "--lambda", "inf"],
+            ["ground-state", "--lambda", "-0.5"],
+            ["ground-state", "--r", "0"],
+            ["sweep-p", "--lambda", "nan"],
+            ["sweep-p", "--p-start", "-0.5"],
+            ["sweep-p", "--p-stop", "1.5"],
+            ["sweep-p", "--p-start", "nan"],
+            ["sweep-p", "--quad-tol", "nan"],
+            ["critical", "--lambda-grid", "0.9,nan"],
+            ["critical", "--lambda-grid=-0.1,0.5"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_input_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+
     def test_parse_lambda_grid_forms(self):
         assert parse_lambda_grid("0.9,0.95,0.99") == (0.9, 0.95, 0.99)
         assert parse_lambda_grid("0.1:0.3:3") == (0.1, 0.2, 0.3)

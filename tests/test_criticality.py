@@ -22,6 +22,7 @@ from timcorr.criticality import (
     sweep_lambda,
     sweep_p,
 )
+from timcorr.numerics import QuadratureSpec
 
 NEAR_CRITICAL_GRID = [0.90, 0.95, 0.99]
 
@@ -232,3 +233,15 @@ class TestDerivativeScan:
             Quantity.P_CR2, [0.5], 1e-3, ChannelKind.PHASE_FLIP, cache=cache
         )
         assert len(cache) == 2
+
+    def test_cache_keyed_by_tolerances(self):
+        def scan(**kwargs):
+            return derivative_scan(
+                Quantity.P_SC, [0.5], 1e-3, ChannelKind.PHASE_FLIP, **kwargs
+            )
+
+        cache = {}
+        scan(tol=1e-8, cache=cache)
+        assert scan(tol=1e-2, cache=cache) == scan(tol=1e-2)
+        scan(tol=1e-2, quad_spec=QuadratureSpec(abs_tol=1e-6), cache=cache)
+        assert len(cache) == 6

@@ -5,80 +5,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import cofactor_determinant, simpson_fixed_grid
+from oracles import cofactor_determinant
 from timcorr.channels import ChannelKind, evolve_pair, project_xstate
 from timcorr.correlations import branch_values, mutual_information
 from timcorr.numerics import (
     BracketError,
-    QuadratureError,
     QuadratureSpec,
     RootBracket,
     central_difference,
     determinant,
     find_root,
-    integrate,
 )
 from timcorr.tim_ground_state import g_coefficient
 
-# Frozen by the fixed-grid Simpson oracle at 2**20 points.
-TRANSVERSE_WEIGHT_INTEGRAL_HALF = 2.9349244186788535
 
-
-def _transverse_weight_half(phi):
-    num = 1.0 + 0.5 * np.cos(phi)
-    return num / np.sqrt((0.5 * np.sin(phi)) ** 2 + num * num)
-
-
-class TestIntegrate:
-    def test_half_angle_cosine(self):
-        assert integrate(lambda x: np.cos(0.5 * x), 0.0, math.pi) == pytest.approx(
-            2.0, abs=1e-10
-        )
-
-    def test_constant(self):
-        assert integrate(lambda x: 1.0, 0.0, math.pi) == pytest.approx(
-            math.pi, abs=1e-10
-        )
-
-    def test_transverse_weight_matches_fixed_grid_oracle(self):
-        oracle = simpson_fixed_grid(_transverse_weight_half, 0.0, math.pi)
-        assert oracle == pytest.approx(TRANSVERSE_WEIGHT_INTEGRAL_HALF, abs=1e-12)
-        value = integrate(_transverse_weight_half, 0.0, math.pi)
-        assert value == pytest.approx(TRANSVERSE_WEIGHT_INTEGRAL_HALF, abs=1e-9)
-
-    @given(
-        coeffs=st.tuples(*(st.floats(-2, 2) for _ in range(6))),
-        alpha=st.floats(-3, 3),
-        beta=st.floats(-3, 3),
-    )
-    def test_linearity(self, coeffs, alpha, beta):
-        a0, a1, a2, b0, b1, b2 = coeffs
-        spec = QuadratureSpec()
-
-        def f(x):
-            return a0 + a1 * np.sin(x) + a2 * np.cos(2.0 * x)
-
-        def g(x):
-            return b0 + b1 * np.cos(x) + b2 * np.sin(3.0 * x)
-
-        combined = integrate(lambda x: alpha * f(x) + beta * g(x), 0.0, math.pi, spec)
-        separate = alpha * integrate(f, 0.0, math.pi, spec) + beta * integrate(
-            g, 0.0, math.pi, spec
-        )
-        assert abs(combined - separate) < 10.0 * spec.abs_tol
-
-    def test_non_convergence_carries_last_estimate(self):
-        spec = QuadratureSpec(abs_tol=1e-14, max_refinements=6)
-        step = lambda x: np.where(x < 0.5671, 0.0, 1.0)
-        with pytest.raises(QuadratureError) as excinfo:
-            integrate(step, 0.0, 1.0, spec)
-        assert math.isfinite(excinfo.value.estimate)
-        assert excinfo.value.error_bound > 0.0
-
-    def test_rejects_empty_interval(self):
-        with pytest.raises(ValueError):
-            integrate(lambda x: x, 1.0, 1.0)
-
+class TestQuadratureSpec:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec(abs_tol=0.0)

@@ -3,9 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import cofactor_determinant, simpson_fixed_grid
+from oracles import (
+    cofactor_determinant,
+    fixed_grid_g_coefficient,
+    mpmath_g_coefficient,
+    simpson_fixed_grid,
+)
 from timcorr.correlations import InvalidXStateError, spectrum
-from timcorr.numerics import QuadratureSpec
+from timcorr.numerics import QuadratureError, QuadratureSpec
 from timcorr.tim_ground_state import (
     GroundStateCorrelators,
     ModelParams,
@@ -90,6 +95,32 @@ class TestGCoefficient:
     def test_g0_equals_minus_magnetization(self, lam):
         assert g_coefficient(lam, 0) == pytest.approx(-magnetization(lam), abs=1e-9)
 
+    @pytest.mark.parametrize("lam", [0.99, 0.999, 1.01])
+    @pytest.mark.parametrize("r", [32, 40, 48, 64])
+    def test_far_coefficients_match_fixed_grid_oracle(self, lam, r):
+        assert abs(g_coefficient(lam, r) - fixed_grid_g_coefficient(lam, r)) <= 1e-12
+
+    @pytest.mark.parametrize("lam", [0.3, 0.9, 0.999, 1.0, 1.3])
+    @pytest.mark.parametrize("r", [-3, -1, 0, 1, 2, 20])
+    def test_matches_mpmath_oracle(self, lam, r):
+        assert abs(g_coefficient(lam, r) - mpmath_g_coefficient(lam, r)) <= 1e-14
+
+    @pytest.mark.parametrize("lam", [0.3, 0.9, 0.999, 1.0, 1.3])
+    def test_magnetization_matches_mpmath_oracle(self, lam):
+        assert abs(magnetization(lam) + mpmath_g_coefficient(lam, 0)) <= 1e-14
+
+    def test_exhausted_doubling_budget_raises(self):
+        spec = QuadratureSpec(abs_tol=1e-12, max_refinements=3)
+        with pytest.raises(QuadratureError) as excinfo:
+            g_coefficient(0.999, 1, spec)
+        assert excinfo.value.points == 64 * 2**3
+        assert excinfo.value.error_bound > spec.abs_tol
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -0.1])
+    def test_rejects_bad_coupling(self, lam):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            g_coefficient(lam, 1)
+
 
 class TestCorrelators:
     def test_zero_coupling_nearest_neighbor(self):
@@ -138,6 +169,10 @@ class TestCorrelators:
     def test_params_validation(self):
         with pytest.raises(ValueError):
             ModelParams(-0.5)
+        with pytest.raises(ValueError):
+            ModelParams(math.nan)
+        with pytest.raises(ValueError):
+            ModelParams(math.inf)
         with pytest.raises(ValueError):
             ModelParams(0.5, 0)
 
